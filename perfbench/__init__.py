@@ -1,0 +1,6 @@
+"""The repository benchmark: in-situ time steps and service jobs.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; ``python3 perfbench/selftest.py``
+checks the benchmark itself.
+"""
