@@ -2,8 +2,8 @@
 
 For every workload in the conformance registry, times the advised policy
 against a small pool of hand-picked single-rank configurations (the
-paper-default serial scalar loop, a 2-worker thread pool, and — where the
-analytic implements one — the serial vectorized fast path).  The advisor
+paper's serial scalar loop, a 2-worker scalar thread pool, and — where
+the analytic implements one — the serial batch path).  The advisor
 "matches" a workload when its policy is within tolerance of the best
 hand-picked time; the gate requires it to match or beat the best
 hand-picked config on at least 3 of the 9 registry workloads.
@@ -28,7 +28,7 @@ from repro.verify import get_workload, workload_names
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_autotune.json"
 
 #: An advised run within this factor of the best hand-picked run counts
-#: as a match (best-of-N timing still jitters on millisecond runs).
+#: as a match (median timing still jitters on millisecond runs).
 TOLERANCE = 1.15
 REQUIRED_MATCHES = 3
 
@@ -37,13 +37,14 @@ def hand_picked(w) -> dict[str, ExecutionPolicy]:
     """The configurations a careful user would try by hand (ranks=1)."""
     base = dict(chunk_size=w.chunk_size, num_iters=w.num_iters)
     pool = {
-        "serial_scalar": ExecutionPolicy.parse("engine=serial").evolve(**base),
+        "serial_scalar": ExecutionPolicy.parse(
+            "engine=serial,map=scalar").evolve(**base),
         "thread2_scalar": ExecutionPolicy.parse(
-            "engine=thread,threads=2").evolve(**base),
+            "engine=thread,threads=2,map=scalar").evolve(**base),
     }
-    if w.has_vector_path:
-        pool["serial_vectorized"] = ExecutionPolicy.parse(
-            "engine=serial,vec=1").evolve(**base)
+    if w.has_batch_path:
+        pool["serial_batch"] = ExecutionPolicy.parse(
+            "engine=serial").evolve(**base)
     return pool
 
 
@@ -56,7 +57,7 @@ def advised(w, elements: int) -> ExecutionPolicy:
         num_iters=w.num_iters,
         key_estimate=w.key_estimate,
         schema_mergeable=w.schema_mergeable,
-        has_vector_path=w.has_vector_path,
+        has_batch_path=w.has_batch_path,
     )
 
 
@@ -72,10 +73,18 @@ def run_once(w, policy: ExecutionPolicy, data: np.ndarray) -> float:
         return time.perf_counter() - t0
 
 
-def best_of(w, policy: ExecutionPolicy, data: np.ndarray,
-            repeats: int) -> float:
-    run_once(w, policy, data)  # warmup: allocator + import one-time costs
-    return min(run_once(w, policy, data) for _ in range(repeats))
+def interleaved_medians(w, policies: dict[str, ExecutionPolicy],
+                        data: np.ndarray, repeats: int) -> dict[str, float]:
+    """Median seconds per policy.  Every policy first runs once untimed
+    (allocator + import one-time costs); the timed repeats then cycle
+    through all policies so machine drift hits each of them alike."""
+    for policy in policies.values():
+        run_once(w, policy, data)
+    times: dict[str, list[float]] = {label: [] for label in policies}
+    for _ in range(repeats):
+        for label, policy in policies.items():
+            times[label].append(run_once(w, policy, data))
+    return {label: float(np.median(t)) for label, t in times.items()}
 
 
 def main(quick: bool = False) -> dict:
@@ -93,11 +102,12 @@ def main(quick: bool = False) -> dict:
             return policy if extra is None else policy.evolve(extra_data=extra)
 
         auto_policy = advised(w, len(data))
-        auto_seconds = best_of(w, with_extra(auto_policy), data, repeats)
-        hand = {
-            label: best_of(w, with_extra(policy), data, repeats)
-            for label, policy in hand_picked(w).items()
-        }
+        policies = {label: with_extra(policy)
+                    for label, policy in hand_picked(w).items()}
+        medians = interleaved_medians(
+            w, {"auto": with_extra(auto_policy), **policies}, data, repeats)
+        auto_seconds = medians.pop("auto")
+        hand = medians
         best_label, best_seconds = min(hand.items(), key=lambda kv: kv[1])
         ok = auto_seconds <= best_seconds * TOLERANCE
         matched += ok

@@ -3,9 +3,11 @@
 The repository commits benchmark result files (``BENCH_*.json`` at the
 repo root) and reference copies under ``benchmarks/baselines/``.  This
 gate compares the *ratio* metrics — machine-relative numbers (speedups,
-reduction factors, match fractions) that are stable across hosts, unlike
-raw seconds — and fails when any hot-path metric regresses by more than
-the threshold (default 25%).
+reduction factors, match fractions, overhead ratios) that are stable
+across hosts, unlike raw seconds — and fails when any gated metric
+regresses by more than the threshold (default 25%).  Each metric
+declares its direction: a higher-is-better metric regresses when it
+falls, a lower-is-better one (an overhead ratio) when it rises.
 
 Usage::
 
@@ -27,30 +29,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BASELINE_DIR = ROOT / "benchmarks" / "baselines"
 
-#: Higher-is-better ratio metrics gated per result file (dotted paths).
-METRICS: dict[str, tuple[str, ...]] = {
+HIGHER, LOWER = "higher", "lower"
+
+#: Ratio metrics gated per result file: (dotted path, which direction is
+#: better).
+METRICS: dict[str, tuple[tuple[str, str], ...]] = {
     "BENCH_serialization.json": (
-        "serialize_merge.columnar_speedup",
+        ("serialize_merge.columnar_speedup", HIGHER),
     ),
     "BENCH_pipeline.json": (
-        "dispatch.reduction_x",
-        "pipeline.speedup_x",
+        ("dispatch.reduction_x", HIGHER),
+        ("pipeline.speedup_x", HIGHER),
     ),
     "BENCH_autotune.json": (
-        "summary.matched_fraction",
+        ("summary.matched_fraction", HIGHER),
     ),
     "BENCH_map.json": (
-        "summary.histogram_speedup",
-        "summary.grid_aggregation_speedup",
-        "summary.kde_grid_speedup",
+        ("summary.histogram_speedup", HIGHER),
+        ("summary.grid_aggregation_speedup", HIGHER),
+        ("summary.kde_grid_speedup", HIGHER),
+        ("summary.moving_average_speedup", HIGHER),
     ),
     "BENCH_chaos.json": (
-        "overhead.overhead_ratio",
+        ("overhead.overhead_ratio", LOWER),
+    ),
+    "BENCH_intransit.json": (
+        ("tcp_overhead.overhead_ratio", LOWER),
     ),
     "BENCH_service.json": (
-        "summary.fairness_index",
-        "summary.shared_hit_rate",
-        "summary.bit_exact_fraction",
+        ("summary.fairness_index", HIGHER),
+        ("summary.shared_hit_rate", HIGHER),
+        ("summary.bit_exact_fraction", HIGHER),
     ),
 }
 
@@ -65,7 +74,13 @@ def lookup(doc: dict, dotted: str) -> float:
 
 
 def compare_file(name: str, threshold: float) -> list[dict]:
-    """Per-metric comparison records for one result file."""
+    """Per-metric comparison records for one result file.
+
+    ``ratio`` is oriented so that above 1 is an improvement whichever
+    direction the metric prefers (current/baseline for higher-is-better,
+    baseline/current for lower-is-better); below ``1 - threshold`` is a
+    regression.
+    """
     current_path = ROOT / name
     baseline_path = BASELINE_DIR / name
     if not current_path.exists():
@@ -75,14 +90,16 @@ def compare_file(name: str, threshold: float) -> list[dict]:
     current = json.loads(current_path.read_text())
     baseline = json.loads(baseline_path.read_text())
     records = []
-    for metric in METRICS[name]:
+    for metric, better in METRICS[name]:
         base = lookup(baseline, metric)
         cur = lookup(current, metric)
-        ratio = cur / base if base else float("inf")
+        num, den = (cur, base) if better == HIGHER else (base, cur)
+        ratio = num / den if den else float("inf")
         status = "ok" if ratio >= 1.0 - threshold else "REGRESSION"
         records.append({
-            "file": name, "metric": metric, "baseline": base,
-            "current": cur, "ratio": ratio, "status": status,
+            "file": name, "metric": metric, "better": better,
+            "baseline": base, "current": cur, "ratio": ratio,
+            "status": status,
         })
     return records
 
@@ -127,12 +144,13 @@ def main(argv: list[str] | None = None) -> int:
             failed = failed or args.strict
             continue
         print(f"{r['file']:28s} {r['metric']:{width}s}  "
+              f"{r['better']:6s}  "
               f"baseline {r['baseline']:9.3f}  current {r['current']:9.3f}  "
               f"ratio {r['ratio']:5.2f}  {r['status']}")
         failed = failed or r["status"] == "REGRESSION"
 
     if failed:
-        print(f"\nFAIL: metric dropped more than {args.threshold:.0%} below "
+        print(f"\nFAIL: metric regressed more than {args.threshold:.0%} against "
               "baseline (or --strict file missing); if intentional, rebless "
               "with --update")
         return 1

@@ -1,12 +1,14 @@
-"""Map-phase microbenchmarks: scalar loop vs vector path vs batch path.
+"""Map-phase microbenchmarks: scalar loop vs batch path.
 
 Times the reduction (map) hot loop — the paper's Algorithm 2 per-chunk
-``gen_key``/``accumulate`` — under each ``map_path`` on the analytics
+``gen_key``/``accumulate`` (``map_path="scalar"``) against the
+``batch_reduce`` path that ``map_path="auto"`` runs — on the analytics
 that implement the batch path, at sizes where per-element interpreter
 overhead dominates.  The headline numbers are the batch-over-scalar
 speedups at the largest size; the conformance kit separately guarantees
 the paths agree bit-for-bit (or within the declared ulp bound for
-kde_grid), so this file only spot-checks value agreement.
+kde_grid, kmeans and logistic regression), so this file only
+spot-checks value agreement.
 
 Runs standalone, writing ``BENCH_map.json`` at the repo root::
 
@@ -32,9 +34,12 @@ import numpy as np
 from repro.analytics import (
     GridAggregation,
     Histogram,
+    KMeans,
+    LogisticRegression,
     MinMax,
     MovingAverage,
     ValueGridKDE,
+    make_logreg_samples,
 )
 from repro.core import SchedArgs
 from repro.core.batch import HAVE_NUMBA
@@ -45,10 +50,21 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_map.json"
 TARGETS = ("histogram", "grid_aggregation", "kde_grid")
 
 KDE_GRID = np.linspace(-3.0, 3.0, 256)
+KMEANS_DIMS, KMEANS_K = 4, 8
+LOGREG_DIMS = 15
 
 
 def _data(n: int) -> np.ndarray:
     return np.random.default_rng(42).normal(size=n)
+
+
+def _logreg_data(n: int) -> np.ndarray:
+    flat, _ = make_logreg_samples(n // (LOGREG_DIMS + 1), LOGREG_DIMS, seed=42)
+    return flat
+
+
+def _kmeans_init(n: int) -> np.ndarray:
+    return _data(n).reshape(-1, KMEANS_DIMS)[:KMEANS_K].copy()
 
 
 CASES = {
@@ -57,26 +73,22 @@ CASES = {
         "make": lambda args, n: Histogram(args, lo=-4.0, hi=4.0,
                                           num_buckets=1200),
         "multi": False,
-        "paths": ("scalar", "vector", "batch"),
     },
     "grid_aggregation": {
         "sizes": (100_000, 1_000_000),
         "make": lambda args, n: GridAggregation(args, grid_size=1000),
         "multi": False,
-        "paths": ("scalar", "vector", "batch"),
     },
     "minmax": {
         "sizes": (100_000, 1_000_000),
         "make": lambda args, n: MinMax(args),
         "multi": False,
-        "paths": ("scalar", "vector", "batch"),
     },
     "moving_average": {
         "sizes": (50_000, 200_000),
         "make": lambda args, n: MovingAverage(args, win_size=7),
         "multi": True,
         "out_len": lambda n: n,
-        "paths": ("scalar", "vector", "batch"),
     },
     "kde_grid": {
         "sizes": (10_000, 30_000),
@@ -84,20 +96,33 @@ CASES = {
                                              bandwidth=0.2),
         "multi": True,
         "out_len": lambda n: KDE_GRID.shape[0],
-        "paths": ("scalar", "batch"),  # no vector_reduce on this one
+    },
+    "kmeans": {
+        "sizes": (40_000, 200_000),
+        "make": lambda args, n: KMeans(args, dims=KMEANS_DIMS),
+        "args": lambda n: dict(chunk_size=KMEANS_DIMS,
+                               extra_data=_kmeans_init(n)),
+        "multi": False,
+    },
+    "logistic_regression": {
+        "sizes": (80_000, 400_000),
+        "make": lambda args, n: LogisticRegression(args, dims=LOGREG_DIMS),
+        "args": lambda n: dict(chunk_size=LOGREG_DIMS + 1),
+        "data": _logreg_data,
+        "multi": False,
     },
 }
 
-
-def _args_for(path: str) -> SchedArgs:
-    if path == "vector":
-        return SchedArgs(vectorized=True)
-    return SchedArgs(map_path=path)
+#: The two map paths each case times: the paper's per-chunk loop and the
+#: ``batch_reduce`` path ``map_path="auto"`` resolves to.
+PATHS = {"scalar": "scalar", "batch": "auto"}
 
 
 def _run_case(case: dict, path: str, data: np.ndarray):
     """One full run under ``path``; returns (seconds, result array)."""
-    app = case["make"](_args_for(path), len(data))
+    extra = case["args"](len(data)) if "args" in case else {}
+    args = SchedArgs(map_path=PATHS[path], **extra)
+    app = case["make"](args, len(data))
     with app:
         t0 = time.perf_counter()
         if case["multi"]:
@@ -119,11 +144,15 @@ def bench_case(name: str, case: dict, *, quick: bool) -> dict:
     repeats = 1 if quick else 3
     per_size: dict[str, dict[str, float]] = {}
     for n in sizes:
-        data = _data(n)
+        data = case.get("data", _data)(n)
         timings: dict[str, float] = {}
         results: dict[str, np.ndarray] = {}
-        for path in case["paths"]:
+        for path in PATHS:
             best = float("inf")
+            if path != "scalar":
+                # Untimed warm-up: the first call of a ms-scale kernel
+                # pays allocator and cache warm-up that would dominate it.
+                _run_case(case, path, data)
             for _ in range(repeats if path != "scalar" else 1):
                 seconds, result = _run_case(case, path, data)
                 best = min(best, seconds)
@@ -132,7 +161,7 @@ def bench_case(name: str, case: dict, *, quick: bool) -> dict:
         for path, result in results.items():
             # Value-level spot check (bit-level agreement is the
             # conformance kit's job; kde_grid's np.exp drift and the
-            # vector path's regrouping are both below 1e-9 here).
+            # BLAS regrouping of kmeans/logreg are below 1e-9 here).
             if not np.allclose(results["scalar"], result,
                                rtol=1e-9, atol=0, equal_nan=True):
                 raise AssertionError(
@@ -143,16 +172,13 @@ def bench_case(name: str, case: dict, *, quick: bool) -> dict:
         "sizes": list(sizes),
         "seconds": per_size,
         "speedup": largest["scalar"] / largest["batch"],
-        "vector_speedup": (
-            largest["scalar"] / largest["vector"]
-            if "vector" in largest else None),
     }
 
 
 def main(argv: list[str] | None = None) -> dict:
     parser = argparse.ArgumentParser(
         prog="python benchmarks/bench_map.py",
-        description="map-path (scalar vs vector vs batch) benchmarks")
+        description="map-path (scalar vs batch) benchmarks")
     parser.add_argument("--quick", action="store_true",
                         help="largest size only, single repeat")
     args = parser.parse_args(argv)
@@ -161,9 +187,7 @@ def main(argv: list[str] | None = None) -> dict:
     for name, case in CASES.items():
         workloads[name] = bench_case(name, case, quick=args.quick)
         r = workloads[name]
-        vec = (f"  vector {r['vector_speedup']:6.1f}x"
-               if r["vector_speedup"] else "")
-        print(f"{name:18s} batch {r['speedup']:6.1f}x{vec}  "
+        print(f"{name:20s} batch {r['speedup']:6.1f}x  "
               f"(largest size {r['sizes'][-1]})")
 
     results = {

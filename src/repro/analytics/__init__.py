@@ -14,8 +14,8 @@ window-based              :class:`MovingAverage`, :class:`MovingMedian`,
 ========================  ==========================================
 
 Every application ships a pure-numpy ``reference_*`` ground-truth
-implementation used by the tests and a vectorized fast path where the
-reduction is algebraic.
+implementation used by the tests and a ``batch_reduce`` fast path where
+the reduction is algebraic.
 """
 
 from .grid_aggregation import GridAggregation, reference_grid_aggregation

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.interface import Communicator
+from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
@@ -124,25 +125,37 @@ class KMeans(Scheduler):
     def load_state(self, state: dict) -> None:
         self.last_shift = state["last_shift"]
 
-    def vector_reduce(
-        self, data: np.ndarray, start: int, stop: int, red_map: KeyedMap
+    # -- batch-map path ------------------------------------------------------
+    def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:
+        keys = self.combination_map_.keys()
+        return ColumnarAccumulator(
+            ClusterObj(np.zeros(self.dims)), min(keys), max(keys) + 1)
+
+    def batch_reduce(
+        self, data: np.ndarray, start: int, stop: int, acc: ColumnarAccumulator
     ) -> None:
         points = data[start:stop].reshape(-1, self.dims)
-        centroids, keys = self._centroid_matrix(red_map)
-        # Squared distances via the expansion trick; argmin ties resolve to
-        # the lowest index, matching gen_key's tie-break on sorted keys.
+        centroids, keys = self._centroid_matrix(self.combination_map_)
+        # Squared distances via the expansion trick (BLAS); argmin ties
+        # resolve to the lowest index, matching gen_key's tie-break on
+        # sorted keys.  Per-cluster sums are pairwise (members.sum), not
+        # element-order, so results sit within the workload's declared
+        # batch_ulp of the scalar loop rather than bit-exact.
         d2 = (
             np.sum(points**2, axis=1)[:, None]
             - 2.0 * points @ centroids.T
             + np.sum(centroids**2, axis=1)[None, :]
         )
         assign = np.argmin(d2, axis=1)
+        vec_sum = acc.column("vec_sum")
+        size = acc.column("size")
         for idx, key in enumerate(keys):
             members = points[assign == idx]
             if members.shape[0]:
-                obj = red_map[key]
-                obj.vec_sum += members.sum(axis=0)
-                obj.size += members.shape[0]
+                row = key - acc.key_lo
+                vec_sum[row] += members.sum(axis=0)
+                size[row] += members.shape[0]
+                acc.contrib[row] += members.shape[0]
 
     # -- result ----------------------------------------------------------------
     def centroids(self) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.interface import Communicator
+from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
@@ -107,27 +108,32 @@ class TileAggregation3D(_Field3D):
     def convert(self, red_obj: RedObj, out: np.ndarray, key: int) -> None:
         out[key] = red_obj.total / red_obj.count
 
-    def vector_reduce(self, data: np.ndarray, start: int, stop: int,
-                      red_map: KeyedMap) -> None:
-        nz, ny, nx = self.shape
+    # -- batch-map path ------------------------------------------------------
+    def _tile_keys(self, start: int, stop: int) -> np.ndarray:
+        _nz, ny, nx = self.shape
         tz, ty, tx = self.tile
         _mz, my, mx = self.tiles_per_axis
         g = np.arange(self.global_offset_ + start, self.global_offset_ + stop)
         z, rem = np.divmod(g, ny * nx)
         y, x = np.divmod(rem, nx)
-        keys = ((z // tz) * my + (y // ty)) * mx + (x // tx)
-        first = int(keys.min())
-        rel = keys - first
-        sums = np.bincount(rel, weights=data[start:stop])
-        counts = np.bincount(rel)
-        for i in np.nonzero(counts)[0]:
-            key = first + int(i)
-            obj = red_map.get(key)
-            if obj is None:
-                obj = SumCountObj()
-                red_map[key] = obj
-            obj.total += float(sums[i])
-            obj.count += int(counts[i])
+        return ((z // tz) * my + (y // ty)) * mx + (x // tx)
+
+    def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:
+        keys = self._tile_keys(start, stop)
+        return ColumnarAccumulator(
+            SumCountObj(), int(keys.min()), int(keys.max()) + 1)
+
+    def batch_reduce(self, data: np.ndarray, start: int, stop: int,
+                     acc: ColumnarAccumulator) -> None:
+        rel = self._tile_keys(start, stop) - acc.key_lo
+        # np.add.at applies the scatter in element order, so each tile's
+        # total continues from its seeded value with the scalar loop's
+        # float grouping.
+        np.add.at(acc.column("total"), rel, data[start:stop])
+        counts = np.bincount(rel, minlength=len(acc))
+        count_col = acc.column("count")
+        count_col += counts
+        acc.contrib += counts
 
     def means(self) -> np.ndarray:
         """Dense tile-mean field, shaped ``tiles_per_axis``."""

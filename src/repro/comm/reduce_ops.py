@@ -1,8 +1,8 @@
 """Reduction operators for collective operations.
 
 Operators work on scalars, sequences, and numpy arrays.  For numpy inputs
-the combining step is fully vectorized (per the HPC guides: never loop over
-array elements in Python when an ufunc exists).
+the combining step runs as whole-array ufuncs (never loop over array
+elements in Python when an ufunc exists).
 """
 
 from __future__ import annotations

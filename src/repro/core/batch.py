@@ -3,10 +3,10 @@
 The paper's Algorithm 2 map loop calls ``gen_key``/``accumulate`` once
 per unit chunk.  Reproduced literally in Python, every element pays an
 interpreter round-trip plus a ``KeyedMap`` dict write — orders of
-magnitude more than the arithmetic itself.  PR 2 already vectorized the
-*merge* side (:class:`~repro.core.serialization.PackedMap`); this module
-finishes the job on the *map* side, following the shape of "Optimizing
-the MapReduce Framework on Intel Xeon Phi" (PAPERS.md): eliminate the
+magnitude more than the arithmetic itself.  The *merge* side already
+runs on packed columns (:class:`~repro.core.serialization.PackedMap`);
+this module finishes the job on the *map* side, following the shape of
+"Optimizing the MapReduce Framework on Intel Xeon Phi" (PAPERS.md): eliminate the
 intermediate per-element key-value emission entirely and scatter whole
 splits into preallocated, SIMD-friendly columns.
 
@@ -18,7 +18,9 @@ application's reduction-object schema — and updates it with
 ``np.bincount`` / ``np.add.at``-style scatter kernels.  Zero per-element
 ``gen_key``/``accumulate`` calls, zero ``KeyedMap`` dict writes on the
 hot path; the scheduler folds touched rows back into the reduction map
-(or ships them straight onto the columnar wire) afterwards.
+(or ships them straight onto the columnar wire) afterwards.  The default
+``map_path="auto"`` runs this path whenever an application implements
+it; ``map_path="scalar"`` keeps the paper's per-chunk loop.
 
 Bit-exactness contract: ``np.bincount`` and ``np.add.at`` apply their
 updates sequentially in input order, so per-key floating-point sums are
@@ -233,9 +235,7 @@ class ColumnarAccumulator:
         :meth:`fold_into`, letting the process engine ship the split's
         result onto the columnar wire without materializing objects.
         """
-        keys = np.asarray(
-            keys if not isinstance(keys, np.ndarray) else keys, dtype=np.int64
-        )
+        keys = np.asarray(keys, dtype=np.int64)
         records = self.records[keys - self.key_lo].copy()
         return PackedMap(
             self.cls, keys, records, [f.merge for f in self.fields]

@@ -11,7 +11,7 @@ per-concern policy objects rather than one flat knob bag:
 * :class:`ExecutionPolicy` — the complete runtime configuration: an
   engine policy, a combine policy, a
   :class:`~repro.faults.FaultPolicy`, and the iteration/block shape
-  (chunk size, iterations, block size, vectorization, the space-sharing
+  (chunk size, iterations, block size, the space-sharing
   buffer capacity, and the paper's Fig-9/Fig-11 comparison toggles).
 
 Every policy owns its own ``validate()`` / ``fingerprint()`` /
@@ -63,7 +63,7 @@ ENGINE_BACKENDS = ("serial", "thread", "process")
 #: Process-engine input-residency modes.
 RESIDENCY_MODES = ("auto", "off")
 #: Map-phase execution paths (:attr:`EnginePolicy.map_path`).
-MAP_PATHS = ("auto", "scalar", "vector", "batch")
+MAP_PATHS = ("auto", "scalar")
 #: Global-combination algorithms.
 COMBINE_ALGORITHMS = ("gather", "tree", "allreduce")
 #: Map wire formats (the single source; ``repro.core.serialization``
@@ -174,15 +174,12 @@ class EnginePolicy:
         segment-per-run.
     map_path:
         Which map-phase implementation reduces a split: ``"auto"``
-        (the default — the scheduler picks the fastest path the
-        application implements, honouring ``vectorized``),
-        ``"scalar"`` (the paper's per-chunk ``gen_key``/``accumulate``
-        loop), ``"vector"`` (the application's ``vector_reduce`` numpy
-        path), or ``"batch"`` (the application's ``batch_reduce``
-        scatter kernels over a preallocated
-        :class:`~repro.core.batch.ColumnarAccumulator` — zero
-        per-element emission).  Forcing a path the application does not
-        implement raises at run time with the subclass named.
+        (the default — the application's ``batch_reduce`` scatter
+        kernels over a preallocated
+        :class:`~repro.core.batch.ColumnarAccumulator` when it
+        implements them, else the scalar loop) or ``"scalar"`` (the
+        paper's per-chunk ``gen_key``/``accumulate`` loop — the
+        reference path the conformance oracle pins).
     """
 
     backend: str = "serial"
@@ -295,7 +292,6 @@ class ExecutionPolicy:
     num_iters: int = 1
     block_size: int | None = None
     extra_data: Any = None
-    vectorized: bool = False
     buffer_capacity: int = 4
     copy_input: bool = False
     disable_early_emission: bool = False
@@ -340,7 +336,6 @@ class ExecutionPolicy:
             f"chunk={self.chunk_size}",
             f"iters={self.num_iters}",
             f"block={self.block_size if self.block_size is not None else 0}",
-            f"vec={int(self.vectorized)}",
             f"capacity={self.buffer_capacity}",
             f"copy={int(self.copy_input)}",
             f"hold={int(self.disable_early_emission)}",
@@ -363,7 +358,6 @@ class ExecutionPolicy:
             "chunk": (top, "chunk_size", int),
             "iters": (top, "num_iters", int),
             "block": (top, "block_size", lambda v: int(v) or None),
-            "vec": (top, "vectorized", _parse_bool),
             "capacity": (top, "buffer_capacity", int),
             "copy": (top, "copy_input", _parse_bool),
             "hold": (top, "disable_early_emission", _parse_bool),
@@ -406,7 +400,7 @@ class ExecutionPolicy:
         Delegates to :class:`repro.core.autotune.PolicyAdvisor` — see
         its ``advise()`` for the accepted workload hints (``elements``,
         ``ranks``, ``threads``, ``key_estimate``, ``schema_mergeable``,
-        ``has_vector_path``, ...).
+        ``has_batch_path``, ...).
         """
         from .autotune import PolicyAdvisor  # deferred: autotune imports perfmodel
 

@@ -2,7 +2,7 @@
 
 ``SchedArgs(int num_threads, size_t chunk_size, const void* extra_data,
 int num_iters)`` from the C++ API, extended with the knobs this
-reproduction adds (block streaming, real threading, vectorized fast path,
+reproduction adds (block streaming, real threading, the map-path selector,
 space-sharing buffer capacity, and the Fig-9 extra-copy toggle).
 
 .. deprecated::
@@ -68,13 +68,9 @@ class SchedArgs:
     use_threads:
         Deprecated alias: ``use_threads=True`` maps to
         ``engine="thread"``.  Prefer ``engine=``.
-    vectorized:
-        Use the application's numpy ``vector_reduce`` fast path when it
-        provides one (semantically identical to the chunk loop; tests
-        assert the equivalence).
     map_path:
-        Map-phase implementation selector (``"auto"``, ``"scalar"``,
-        ``"vector"``, or ``"batch"``) — see
+        Map-phase implementation selector (``"auto"`` or ``"scalar"``)
+        — see
         :attr:`repro.core.policy.EnginePolicy.map_path`.
     buffer_capacity:
         Cells in the space-sharing circular buffer (paper Figure 4).
@@ -133,7 +129,6 @@ class SchedArgs:
     block_size: int | None = None
     engine: str | None = None
     use_threads: bool = False
-    vectorized: bool = False
     map_path: str = "auto"
     buffer_capacity: int = 4
     copy_input: bool = False
@@ -191,7 +186,6 @@ class SchedArgs:
             num_iters=self.num_iters,
             block_size=self.block_size,
             extra_data=self.extra_data,
-            vectorized=self.vectorized,
             buffer_capacity=self.buffer_capacity,
             copy_input=self.copy_input,
             disable_early_emission=self.disable_early_emission,

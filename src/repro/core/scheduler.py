@@ -85,7 +85,6 @@ class RunStats:
 
     chunks_processed = _run_counter("chunks_processed")
     accumulate_calls = _run_counter("accumulate_calls")
-    vector_reduce_calls = _run_counter("vector_reduce_calls")
     batch_reduce_calls = _run_counter("batch_reduce_calls")
     early_emissions = _run_counter("early_emissions")
     iterations_run = _run_counter("iterations_run")
@@ -106,7 +105,7 @@ class RunStats:
         fields = ", ".join(
             f"{name}={getattr(self, name)}"
             for name in (
-                "chunks_processed", "accumulate_calls", "vector_reduce_calls",
+                "chunks_processed", "accumulate_calls", "batch_reduce_calls",
                 "early_emissions", "iterations_run", "runs", "peak_red_objects",
                 "global_combinations",
             )
@@ -288,7 +287,6 @@ class Scheduler:
             "implement convert()"
         )
 
-    # Optional vectorized fast path -------------------------------------
     def converged(self, combination_map: KeyedMap, iteration: int) -> bool:
         """Early-termination test for iterative applications (optional).
 
@@ -301,22 +299,6 @@ class Scheduler:
         SPMD ranks in lockstep.  Default: never converge early.
         """
         return False
-
-    def vector_reduce(
-        self, data: np.ndarray, start: int, stop: int, red_map: KeyedMap
-    ) -> None:
-        """Numpy fast path equivalent to the chunk loop over ``[start, stop)``.
-
-        Applications may override; enabled via ``SchedArgs.vectorized``.
-        Must produce exactly the state the scalar loop would (tests in
-        this repository assert the equivalence for every bundled
-        application).
-        """
-        raise NotImplementedError
-
-    @property
-    def has_vector_path(self) -> bool:
-        return type(self).vector_reduce is not Scheduler.vector_reduce
 
     # Optional batch fast path ------------------------------------------
     def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:
@@ -347,9 +329,10 @@ class Scheduler:
         ``acc.contrib``.  Must produce exactly the state the scalar loop
         would: present contributions to each key in ascending element
         order (``np.bincount`` and ``np.add.at`` apply updates in input
-        order, so this also fixes the float grouping).  Enabled via
-        ``EnginePolicy(map_path="batch")`` or the policy advisor; the
-        conformance kit diffs it against the scalar oracle.
+        order, so this also fixes the float grouping), or declare the
+        ulp budget it stays within on its conformance workload.  ``map_path="auto"``
+        runs it whenever the application implements it; the conformance
+        kit diffs it against the scalar oracle.
         """
         raise NotImplementedError
 
@@ -358,31 +341,13 @@ class Scheduler:
         return type(self).batch_reduce is not Scheduler.batch_reduce
 
     def _resolve_map_path(self) -> str:
-        """The map-phase implementation this run uses for each split.
-
-        ``"auto"`` preserves the historical dispatch — the vector path
-        when ``policy.vectorized`` and the application provides one,
-        else the scalar loop; batch is opt-in (forced here, or advised
-        by :class:`~repro.core.autotune.PolicyAdvisor`).  Forcing a path
-        the application does not implement fails with the subclass
-        named.
-        """
-        path = self.policy.engine.map_path
-        if path == "auto":
-            if self.policy.vectorized and self.has_vector_path:
-                return "vector"
-            return "scalar"
-        if path == "vector" and not self.has_vector_path:
-            raise TypeError(
-                f"map_path='vector' but {type(self).__name__} does not "
-                "implement vector_reduce()"
-            )
-        if path == "batch" and not self.has_batch_path:
-            raise TypeError(
-                f"map_path='batch' but {type(self).__name__} does not "
-                "implement batch_reduce()"
-            )
-        return path
+        """The map-phase implementation this run uses for each split:
+        ``"batch"`` under ``map_path="auto"`` when the application
+        implements :meth:`batch_reduce`, else the scalar loop (which
+        ``map_path="scalar"`` forces)."""
+        if self.policy.engine.map_path == "auto" and self.has_batch_path:
+            return "batch"
+        return "scalar"
 
     # Optional state-delta hooks ----------------------------------------
     def mutable_state(self) -> dict:
@@ -747,11 +712,8 @@ class Scheduler:
         (the parent process converts them into its output array).
         """
         self._batch_export = None
-        path = self._resolve_map_path()
-        if path == "batch":
+        if self._resolve_map_path() == "batch":
             return self._reduce_split_batch(split, red_map, data, out, emitted_objs)
-        if path == "vector":
-            return self._reduce_split_vectorized(split, red_map, data, out, emitted_objs)
         com_map = self.combination_map_
         emitted: list[int] = []
         key_buf: list[int] = []
@@ -797,38 +759,6 @@ class Scheduler:
             self.telemetry.inc("run.early_emissions", len(emitted))
         return emitted
 
-    def _reduce_split_vectorized(
-        self,
-        split: Split,
-        red_map: KeyedMap,
-        data: np.ndarray,
-        out: np.ndarray | None,
-        emitted_objs: list[tuple[int, RedObj]] | None = None,
-    ) -> list[int]:
-        """Vectorized fast path: app-provided bulk reduction + trigger sweep."""
-        self.vector_reduce(data, split.start, split.stop, red_map)
-        n_chunks = -(-len(split) // self.policy.chunk_size)
-        self.telemetry.inc("run.chunks_processed", n_chunks)
-        # One bulk vector_reduce call covered the whole split; counting it
-        # as n_chunks accumulate calls would fake scalar-path activity.
-        # Publishing the counter at 0 lets telemetry consumers tell "no
-        # scalar work ran" from "counter never recorded".
-        self.telemetry.inc("run.vector_reduce_calls")
-        self.telemetry.inc("run.accumulate_calls", 0)
-        emitted: list[int] = []
-        if self.policy.disable_early_emission:
-            return emitted
-        for key in [k for k, obj in red_map.items() if obj.trigger()]:
-            if emitted_objs is not None:
-                emitted_objs.append((key, red_map[key]))
-            elif out is not None:
-                self.convert(red_map[key], out, key)
-            del red_map[key]
-            emitted.append(key)
-        if emitted:
-            self.telemetry.inc("run.early_emissions", len(emitted))
-        return emitted
-
     def _reduce_split_batch(
         self,
         split: Split,
@@ -854,8 +784,8 @@ class Scheduler:
         self.telemetry.inc("run.chunks_processed", n_chunks)
         self.telemetry.inc("run.batch_reduce_calls")
         self.telemetry.inc("run.batch_elements", len(split))
-        # Explicit zero: no scalar accumulate() ran on this path (same
-        # telemetry contract as the vectorized path above).
+        # Explicit zero: telemetry consumers can tell "no scalar
+        # accumulate() ran" from "counter never recorded".
         self.telemetry.inc("run.accumulate_calls", 0)
         touched = acc.fold_into(red_map)
         # When the window covered every pre-existing key, the columns now

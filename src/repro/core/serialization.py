@@ -126,7 +126,7 @@ class PackedMap:
             and self.vector_mergeable
         )
 
-    # -- vectorized combination kernel ---------------------------------
+    # -- columnar combination kernel -----------------------------------
     def merge_from(self, other: "PackedMap") -> None:
         """Merge ``other`` in (``other`` plays the red side: ``keep``
         fields retain *this* map's values on matched keys).

@@ -5,7 +5,7 @@ and finds Smart within 9% (k-means) / indistinguishable (LR) of manual
 MPI/OpenMP code, the difference being the serialization of noncontiguous
 reduction objects during global combination.
 
-Here the per-node compute is **measured** (Smart's vectorized kernel vs.
+Here the per-node compute is **measured** (Smart's batch-map kernel vs.
 the low-level numpy kernel on identical data) and the node axis enters
 through the **modeled** synchronization term: Smart serializes its
 combination map (measured payload) through a gather+bcast tree, the
@@ -28,13 +28,28 @@ from .programmability import default_rows
 from .reporting import format_seconds, print_table
 
 
-def _measure(fn, repeats: int = 2) -> float:
-    best = float("inf")
+def _seconds(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def _measure_pair(smart, low, warmup: int = 4, repeats: int = 5) -> tuple[float, float]:
+    """Median wall seconds of ``smart`` and ``low`` over interleaved runs.
+
+    Both kernels run ~10x slower for their first few calls (allocator
+    and cache warm-up), so each side first runs ``warmup`` times
+    untimed; the timed repeats then alternate Smart and low-level so
+    drift hits both sides alike.
+    """
+    for _ in range(warmup):
+        smart()
+        low()
+    smart_times, low_times = [], []
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        smart_times.append(_seconds(smart))
+        low_times.append(_seconds(low))
+    return float(np.median(smart_times)), float(np.median(low_times))
 
 
 def _payloads(com_map) -> dict:
@@ -72,11 +87,12 @@ def run(
     flat = points.reshape(-1)
     init = points[:k].copy()
     km = KMeans(
-        SchedArgs(chunk_size=dims, num_iters=iters, extra_data=init, vectorized=True),
+        SchedArgs(chunk_size=dims, num_iters=iters, extra_data=init),
         dims=dims,
     )
-    t_smart = _measure(lambda: (km.reset(), km.run(flat)))
-    t_low = _measure(lambda: lowlevel_kmeans(flat, init, iters))
+    t_smart, t_low = _measure_pair(
+        lambda: (km.reset(), km.run(flat)),
+        lambda: lowlevel_kmeans(flat, init, iters))
     km_payloads = _payloads(km.get_combination_map())
     low_payload = float((k * dims + k) * 8)
     results["kmeans"] = dict(
@@ -94,10 +110,11 @@ def run(
     y = (rng.random(X.shape[0]) < 0.5).astype(np.float64)
     flat = np.concatenate([X, y[:, None]], axis=1).reshape(-1)
     lr = LogisticRegression(
-        SchedArgs(chunk_size=dims + 1, num_iters=iters, vectorized=True), dims=dims
+        SchedArgs(chunk_size=dims + 1, num_iters=iters), dims=dims
     )
-    t_smart = _measure(lambda: (lr.reset(), lr.run(flat)))
-    t_low = _measure(lambda: lowlevel_logreg(flat, dims, iters))
+    t_smart, t_low = _measure_pair(
+        lambda: (lr.reset(), lr.run(flat)),
+        lambda: lowlevel_logreg(flat, dims, iters))
     lr_payloads = _payloads(lr.get_combination_map())
     results["logistic_regression"] = dict(
         smart_compute=t_smart, low_compute=t_low,

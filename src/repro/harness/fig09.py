@@ -141,7 +141,7 @@ def _measured_copy_overhead(mib: int = 32) -> dict:
 
     def run_once(copy_input: bool) -> float:
         lr = LogisticRegression(
-            SchedArgs(chunk_size=dims + 1, num_iters=3, vectorized=True,
+            SchedArgs(chunk_size=dims + 1, num_iters=3,
                       copy_input=copy_input),
             dims=dims,
         )

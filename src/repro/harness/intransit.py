@@ -193,7 +193,10 @@ def _elastic_scale_scenario(n_points: int, n_parts: int) -> dict:
 
 
 def _hist_rank(comm, part):
-    sched = Histogram(SchedArgs(num_threads=1), comm,
+    # Pinned to the scalar loop: the 1.3x bound and the committed
+    # baseline were set against its compute.  On the batch path a quick
+    # run computes in ~4 ms, so fixed socket setup alone reads 1.5-2.5x.
+    sched = Histogram(SchedArgs(num_threads=1, map_path="scalar"), comm,
                       lo=-4.0, hi=4.0, num_buckets=BUCKETS)
     out = np.zeros(BUCKETS)
     with sched:

@@ -53,7 +53,7 @@ class AuditRow:
 
 
 def audit_histogram(data: np.ndarray, buckets: int = 100) -> AuditRow:
-    smart = Histogram(SchedArgs(vectorized=True), lo=-4, hi=4, num_buckets=buckets)
+    smart = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=buckets)
     smart.run(data)
     with MiniSparkContext(1) as ctx:
         spark_histogram(ctx, data, -4, 4, buckets)
@@ -71,7 +71,7 @@ def audit_kmeans(data: np.ndarray, k: int = 8, dims: int = 8, iters: int = 3) ->
     flat = data[:usable]
     init = flat.reshape(-1, dims)[:k].copy()
     smart = KMeans(
-        SchedArgs(chunk_size=dims, num_iters=iters, extra_data=init, vectorized=True),
+        SchedArgs(chunk_size=dims, num_iters=iters, extra_data=init),
         dims=dims,
     )
     smart.run(flat)
@@ -92,7 +92,7 @@ def audit_logreg(data: np.ndarray, dims: int = 15, iters: int = 3) -> AuditRow:
     flat = data[:usable].copy()
     flat.reshape(-1, row)[:, dims] = flat.reshape(-1, row)[:, dims] > 0
     smart = LogisticRegression(
-        SchedArgs(chunk_size=row, num_iters=iters, vectorized=True), dims=dims
+        SchedArgs(chunk_size=row, num_iters=iters), dims=dims
     )
     smart.run(flat)
     with MiniSparkContext(1) as ctx:

@@ -3,17 +3,17 @@
 A :class:`Config` names one point in the runtime's configuration space.
 Its axes split into two groups:
 
-* **structure axes** (workload, threads, block size, vectorization,
-  rank count, data seed) legitimately change how float summation is
-  grouped, so candidate and oracle must agree on them;
+* **structure axes** (workload, threads, block size, rank count, data
+  seed) legitimately change how float summation is grouped, so
+  candidate and oracle must agree on them;
 * **transparent axes** (engine, wire format, combine algorithm,
-  residency, fault plan, driver) are the paper's "transparent to the
-  analytics programmer" claim — flipping any of them must leave the
-  final combination map bit-identical.
+  residency, fault plan, driver, map path) are the paper's
+  "transparent to the analytics programmer" claim — flipping any of
+  them must leave the final combination map bit-identical.
 
 ``oracle_of`` resets the transparent axes to the reference execution
 (serial engine, pickle wire, gather combine, default residency, no
-faults, direct driver).  ``build_matrix`` enumerates the valid space
+faults, direct driver, scalar map loop).  ``build_matrix`` enumerates the valid space
 and prunes it with greedy pairwise covering so every pair of axis
 values involving a transparent axis appears in at least one config.
 """
@@ -47,13 +47,13 @@ __all__ = [
 
 # Axes whose value must match between candidate and oracle.
 STRUCTURE_AXES = (
-    "workload", "num_threads", "block_size", "vectorized", "ranks", "seed",
+    "workload", "num_threads", "block_size", "ranks", "seed",
 )
 # Axes the runtime promises are invisible in the result.  ``map_path``
 # is transparent with one declared exception: a workload may carry a
-# positive ``batch_ulp`` bound for known vector-math last-ulp drift
-# (np.exp vs math.exp), which the differ applies only under
-# ``map_path=batch``.
+# positive ``batch_ulp`` bound for known numpy-math drift (np.exp vs
+# math.exp, BLAS regrouping), which the differ applies only when the
+# config resolves to the batch path (``Config.runs_batch``).
 TRANSPARENT_AXES = (
     "engine", "wire_format", "combine_algorithm", "residency", "fault",
     "driver", "map_path", "comm", "sharing",
@@ -66,10 +66,9 @@ _ORACLE_VALUES = {
     "residency": "auto",
     "fault": "none",
     "driver": "direct",
-    # "auto", not "scalar": the oracle must retain the structure axis
-    # ``vectorized`` (auto resolves to scalar whenever vectorized is
-    # False, which it always is for a forced map_path — see is_valid).
-    "map_path": "auto",
+    # The paper's per-chunk gen_key/accumulate loop is the reference;
+    # "auto" runs batch_reduce wherever an application implements it.
+    "map_path": "scalar",
     "comm": "inproc",
     "sharing": "solo",
 }
@@ -88,7 +87,6 @@ _SHORT = {
     "sharing": "sharing",
     "num_threads": "threads",
     "block_size": "block",
-    "vectorized": "vec",
     "ranks": "ranks",
     "seed": "seed",
 }
@@ -119,18 +117,12 @@ class Config:
     sharing: str = "solo"
     num_threads: int = 1
     block_size: int = 0  # 0 = whole partition in one block
-    vectorized: bool = False
     ranks: int = 1
     seed: int = DEFAULT_SEED
 
     def fingerprint(self) -> str:
-        parts = []
-        for axis in _SHORT:
-            value = getattr(self, axis)
-            if axis == "vectorized":
-                value = int(value)
-            parts.append(f"{_SHORT[axis]}={value}")
-        return ",".join(parts)
+        return ",".join(f"{short}={getattr(self, axis)}"
+                        for axis, short in _SHORT.items())
 
     @classmethod
     def parse(cls, text: str) -> "Config":
@@ -144,9 +136,7 @@ class Config:
             axis = _LONG.get(key, key)
             if axis not in _SHORT:
                 raise ValueError(f"unknown config axis {key!r} in {text!r}")
-            if axis == "vectorized":
-                kwargs[axis] = value.strip() not in ("0", "False", "false")
-            elif axis in _INT_AXES:
+            if axis in _INT_AXES:
                 kwargs[axis] = int(value)
             else:
                 kwargs[axis] = value.strip()
@@ -157,6 +147,13 @@ class Config:
     def oracle_of(self) -> "Config":
         """The reference execution sharing this config's structure axes."""
         return dataclasses.replace(self, **_ORACLE_VALUES)
+
+    @property
+    def runs_batch(self) -> bool:
+        """Whether this config's map phase resolves to ``batch_reduce``
+        (``map_path="auto"`` on a workload that implements it)."""
+        return (self.map_path == "auto"
+                and get_workload(self.workload).has_batch_path)
 
     def execution_policy(self, fault_policy: str = "fail_fast") -> ExecutionPolicy:
         """Lower this config's runtime axes to an
@@ -187,7 +184,6 @@ class Config:
             chunk_size=w.chunk_size,
             num_iters=w.num_iters,
             block_size=block,
-            vectorized=self.vectorized,
         )
 
     def policy_fingerprint(self, fault_policy: str = "fail_fast") -> str:
@@ -250,14 +246,12 @@ def axis_values(smoke: bool = True) -> dict[str, tuple]:
         # Multi-tenant shared-read residency: N concurrent service jobs
         # over one resident step must reproduce the solo run bit-exactly.
         "sharing": ("solo", "shared"),
-        # "vector" is deliberately absent: forcing the vector path is
-        # covered by the (structural) ``vectorized`` axis, and the full
-        # matrix's explicit "scalar" only documents that forcing the
-        # default is a no-op.
-        "map_path": ("auto", "batch") if smoke else ("auto", "scalar", "batch"),
+        # The oracle pins "scalar"; the full matrix's explicit "scalar"
+        # candidates also diff the scalar loop under every other
+        # transparent axis.
+        "map_path": ("auto",) if smoke else ("auto", "scalar"),
         "num_threads": (1, 3) if smoke else (1, 2, 3),
         "block_size": (0, 256),
-        "vectorized": (False, True),
         "ranks": (1, 2) if smoke else (1, 2, 3),
     }
 
@@ -271,15 +265,6 @@ def is_valid(config: Config, smoke: bool = True) -> bool:
     longer a runtime promise.
     """
     w = get_workload(config.workload)
-    if config.vectorized and not w.has_vector_path:
-        return False
-    if config.map_path != "auto":
-        # A forced map path overrides the vectorized toggle; keep the
-        # axes orthogonal so every config names exactly one execution.
-        if config.vectorized:
-            return False
-        if config.map_path == "batch" and not w.has_batch_path:
-            return False
     if config.driver == "pipelined" and not (w.steps_ok and config.ranks == 1):
         return False
     if config.fault == "engine-kill" and not (
@@ -345,7 +330,7 @@ def _pair_axes() -> list[tuple[str, str]]:
     structure combination costs an extra oracle run.
     """
     axes = ("workload",) + TRANSPARENT_AXES + (
-        "num_threads", "block_size", "vectorized", "ranks",
+        "num_threads", "block_size", "ranks",
     )
     pairs = []
     for a, b in itertools.combinations(axes, 2):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -356,16 +355,17 @@ def diff_results(
     """Bit-compare two extracted runs; one mismatch per divergent field
     (anchored at the first divergent flat index).
 
-    Under ``map_path=batch`` two declared allowances apply: the
-    ``run.accumulate_calls`` stat is masked from both sides (the batch
-    path performs zero scalar accumulate calls by design), and a
-    workload's positive ``batch_ulp`` bound tolerates known vector-math
-    last-ulp drift per float entry.  Everything else stays bit-exact.
+    When the config resolves to the batch path (``Config.runs_batch``)
+    two declared allowances apply: the ``run.accumulate_calls`` stat is
+    masked from both sides (the batch path performs zero scalar
+    accumulate calls by design), and a workload's positive
+    ``batch_ulp`` bound tolerates known numpy-math drift per float
+    entry.  Everything else stays bit-exact.
     """
     fp = config.fingerprint()
     repro = repro_command(config)
     mismatches: list[Mismatch] = []
-    batch = getattr(config, "map_path", "auto") == "batch"
+    batch = config.runs_batch
     ulp_tol = get_workload(workload_name).batch_ulp if batch else 0
     if "run.stats" not in expected or "run.stats" not in actual:
         # Stats are advisory (dropped on replayed-fault runs); compare
@@ -437,7 +437,7 @@ def diff_results(
 
 class OracleCache:
     """Reference results keyed by structure axes — one oracle execution
-    per (workload, threads, block, vectorized, ranks, seed) combination
+    per (workload, threads, block, ranks, seed) combination
     no matter how many transparent-axis candidates share it."""
 
     def __init__(self, telemetry: Recorder | None = None):

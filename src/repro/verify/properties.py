@@ -17,8 +17,11 @@ bit-equality where the analytic's reduction guarantees it:
 * **fault replay** — an injected worker kill under ``retry`` replays to
   a bit-exact result and really fired.
 
-Checks return the same structured :class:`~repro.verify.oracle.Mismatch`
-records as the matrix runner, with ``kind`` prefixed ``property:``.
+Every check pins ``map_path="scalar"`` — the invariants are properties
+of the paper's per-chunk loop; the batch path is diffed against that
+loop by the matrix.  Checks return the same structured
+:class:`~repro.verify.oracle.Mismatch` records as the matrix runner,
+with ``kind`` prefixed ``property:``.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def check_partition_invariance(
     if not w.exact_partition:
         return []
     data = w.make_data(seed, elements)
-    base_cfg = Config(workload=w.name, seed=seed)
+    base_cfg = Config(workload=w.name, map_path="scalar", seed=seed)
     base = execute(w, base_cfg, data=data)
     found: list[Mismatch] = []
     for ranks in partitions:
@@ -95,7 +98,7 @@ def check_permutation_invariance(
     if not w.exact_permutation:
         return []
     data = w.make_data(seed, elements)
-    cfg = Config(workload=w.name, seed=seed)
+    cfg = Config(workload=w.name, map_path="scalar", seed=seed)
     base = execute(w, cfg, data=data)
     rows = data.reshape(-1, w.chunk_size)
     perm = np.random.default_rng(seed + 1).permutation(len(rows))
@@ -130,7 +133,7 @@ def check_merge_associativity(
 
     def args_for() -> SchedArgs:
         return SchedArgs(chunk_size=w.chunk_size, num_iters=w.num_iters,
-                         extra_data=w.extra(data))
+                         extra_data=w.extra(data), map_path="scalar")
 
     maps = []
     merge = None
@@ -151,7 +154,7 @@ def check_merge_associativity(
     right = maps[0].clone()
     right.merge_map(tail, merge)
 
-    cfg = Config(workload=w.name, seed=seed)
+    cfg = Config(workload=w.name, map_path="scalar", seed=seed)
     left_result = _map_result(w, args_for(), left)
     right_result = _map_result(w, args_for(), right)
     return _tag(diff_results(w.name, cfg, left_result, right_result),
@@ -171,7 +174,7 @@ def check_residency_idempotence(
     def double_run(engine: str):
         args = SchedArgs(num_threads=2, engine=engine,
                          chunk_size=w.chunk_size, num_iters=w.num_iters,
-                         extra_data=w.extra(data))
+                         extra_data=w.extra(data), map_path="scalar")
         app = w.build(args, None)
         with app:
             app.run(data)
@@ -182,7 +185,8 @@ def check_residency_idempotence(
 
     reference, _ = double_run("serial")
     resident, counters = double_run("process")
-    cfg = Config(workload=w.name, engine="process", num_threads=2, seed=seed)
+    cfg = Config(workload=w.name, engine="process", num_threads=2,
+                 map_path="scalar", seed=seed)
     found = _tag(diff_results(w.name, cfg, reference, resident), "residency")
     if counters.get("engine.residency.hits", 0) < 1:
         found.append(_note(
@@ -200,7 +204,7 @@ def check_fault_replay(
     if w.multi_key:
         return []
     cfg = Config(workload=w.name, engine="process", fault="engine-kill",
-                 num_threads=2, seed=seed)
+                 num_threads=2, map_path="scalar", seed=seed)
     data = w.make_data(seed, elements)
     oracle = execute(w, cfg.oracle_of(), data=data)
     candidate = execute(w, cfg, data=data)

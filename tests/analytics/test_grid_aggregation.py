@@ -8,9 +8,9 @@ from repro.comm import spmd_launch
 from repro.core import SchedArgs
 
 
-def run_app(data, grid_size, vectorized=False, threads=1):
+def run_app(data, grid_size, fast=False, threads=1):
     app = GridAggregation(
-        SchedArgs(vectorized=vectorized, num_threads=threads), grid_size=grid_size
+        SchedArgs(map_path="auto" if fast else "scalar", num_threads=threads), grid_size=grid_size
     )
     app.run(data)
     out = np.zeros(-(-len(data) // grid_size))
@@ -28,8 +28,8 @@ class TestCorrectness:
     def test_vectorized_equals_scalar(self, rng):
         data = rng.normal(size=500)
         _, scalar = run_app(data, 10)
-        _, vector = run_app(data, 10, vectorized=True)
-        assert np.allclose(scalar, vector)
+        _, batch = run_app(data, 10, fast=True)
+        assert np.allclose(scalar, batch)
 
     def test_partial_trailing_grid(self):
         data = np.array([1.0, 2.0, 3.0, 10.0])
@@ -43,8 +43,8 @@ class TestCorrectness:
         assert np.allclose(out, data)
 
     @pytest.mark.parametrize("ranks", [2, 3])
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_rank_invariant_with_global_positions(self, rng, ranks, vectorized):
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_rank_invariant_with_global_positions(self, rng, ranks, fast):
         """Grids spanning rank boundaries must still aggregate correctly —
         this is the positional-information property Section 5.8 claims."""
         data = rng.normal(size=400)
@@ -54,7 +54,7 @@ class TestCorrectness:
             parts = np.array_split(data, comm.size)
             offset = sum(len(p) for p in parts[: comm.rank])
             app = GridAggregation(
-                SchedArgs(vectorized=vectorized), comm, grid_size=37
+                SchedArgs(map_path="auto" if fast else "scalar"), comm, grid_size=37
             )
             app.run(parts[comm.rank], global_offset=offset, total_len=len(data))
             out = np.zeros(len(expected))

@@ -14,9 +14,9 @@ from repro.comm import spmd_launch
 from repro.core import SchedArgs
 
 
-def build(bins=16, vectorized=False, comm=None):
+def build(bins=16, fast=False, comm=None):
     return MutualInformation(
-        SchedArgs(chunk_size=2, vectorized=vectorized), comm,
+        SchedArgs(chunk_size=2, map_path="auto" if fast else "scalar"), comm,
         x_range=(-4, 4), y_range=(-4, 4), bins=bins,
     )
 
@@ -38,10 +38,10 @@ class TestCorrectness:
 
     def test_vectorized_equals_scalar(self, rng):
         xy = correlated_pairs(rng, 1500)
-        scalar, vector = build(), build(vectorized=True)
+        scalar, batch = build(), build(fast=True)
         scalar.run(xy)
-        vector.run(xy)
-        assert np.array_equal(scalar.joint_counts(), vector.joint_counts())
+        batch.run(xy)
+        assert np.array_equal(scalar.joint_counts(), batch.joint_counts())
 
     def test_independent_variables_have_near_zero_mi(self, rng):
         xy = np.column_stack([rng.normal(size=20000), rng.normal(size=20000)]).reshape(-1)

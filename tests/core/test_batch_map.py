@@ -1,5 +1,6 @@
 """Batch-map execution path: accumulator unit tests, policy axis wiring,
-batch-vs-scalar conformance, telemetry, and the mutation gate.
+map-path resolution over every bundled analytic, batch-vs-scalar
+conformance, telemetry, and the mutation gate.
 
 The equivalence tests go through the conformance kit
 (``tests/workloads.py`` → ``repro.verify``), so a failure prints the
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import analytics
 from repro.analytics import Histogram, MovingAverage
 from repro.analytics.objects import HoldAllObj, SumCountObj, WindowSumObj
 from repro.core import (
@@ -26,16 +28,17 @@ from repro.core import (
 )
 from repro.core.serialization import pack_map
 from repro.telemetry import Recorder
-from repro.verify import Config, execute, get_workload
+from repro.verify import Config, execute, get_workload, workload_names
 from tests.workloads import assert_conforms, mismatch_report
 
 BATCH_WORKLOADS = (
     "histogram", "grid_aggregation", "minmax", "moving_average", "kde_grid",
+    "kmeans", "logreg",
 )
 
 
 class ScalarOnly(Scheduler):
-    """Minimal app with neither vector_reduce nor batch_reduce."""
+    """Minimal app without batch_reduce."""
 
     def gen_key(self, chunk, data, combination_map):
         return 0
@@ -128,44 +131,117 @@ class TestColumnarAccumulator:
 
 class TestMapPathPolicy:
     def test_axis_values(self):
-        assert MAP_PATHS == ("auto", "scalar", "vector", "batch")
+        assert MAP_PATHS == ("auto", "scalar")
         with pytest.raises(ValueError, match="map_path"):
             EnginePolicy(map_path="bogus")
 
     def test_fingerprint_and_parse_roundtrip(self):
         policy = ExecutionPolicy(
-            engine=EnginePolicy(backend="serial", map_path="batch"))
-        assert "map=batch" in policy.fingerprint()
-        parsed = ExecutionPolicy.parse("engine=serial,map=batch")
-        assert parsed.map_path == "batch"
+            engine=EnginePolicy(backend="serial", map_path="scalar"))
+        assert "map=scalar" in policy.fingerprint()
+        parsed = ExecutionPolicy.parse("engine=serial,map=scalar")
+        assert parsed.map_path == "scalar"
 
     def test_sched_args_passthrough(self):
-        assert SchedArgs(map_path="batch").policy.map_path == "batch"
+        assert SchedArgs(map_path="scalar").policy.map_path == "scalar"
 
     def test_forced_batch_without_impl_raises(self):
-        app = ScalarOnly(SchedArgs(map_path="batch"))
-        with pytest.raises(TypeError, match="ScalarOnly"):
-            with app:
-                app.run(np.zeros(4))
+        # "batch" is no longer a selectable value: auto runs it where the
+        # application implements it, and falls back to scalar otherwise.
+        with pytest.raises(ValueError, match="map_path"):
+            SchedArgs(map_path="batch")
+        app = ScalarOnly(SchedArgs())
+        with app:
+            app.run(np.zeros(4))
+            assert app._resolve_map_path() == "scalar"
+            assert app.stats.accumulate_calls == 4
 
     def test_forced_vector_without_impl_raises(self):
-        app = ScalarOnly(SchedArgs(map_path="vector"))
-        with pytest.raises(TypeError, match="ScalarOnly"):
-            with app:
-                app.run(np.zeros(4))
+        with pytest.raises(ValueError, match="map_path"):
+            SchedArgs(map_path="vector")
 
     def test_advisor_picks_batch(self):
+        # The advisor leaves map_path at "auto", which resolves to the
+        # batch path for an application implementing it.
         rec = Recorder()
         policy = PolicyAdvisor(telemetry=rec).advise(
-            elements=1000, threads=2,
-            has_vector_path=True, has_batch_path=True)
-        assert policy.engine.map_path == "batch"
-        assert policy.vectorized is False
-        assert rec.counters("policy.")["policy.advice.map.batch"] == 1
+            elements=1000, threads=2, has_batch_path=True)
+        assert policy.engine.map_path == "auto"
+        assert not any(name.startswith("policy.advice.map")
+                       for name in rec.counters("policy."))
+        app = Histogram(policy, lo=-4, hi=4, num_buckets=8)
+        with app:
+            assert app._resolve_map_path() == "batch"
 
     def test_advised_config_carries_map_path(self):
         from repro.verify.policy_check import advised_config
-        assert advised_config("histogram").map_path == "batch"
+        config = advised_config("histogram")
+        assert config.map_path == "auto"
+        assert config.runs_batch
+
+
+# ---------------------------------------------------------------------------
+# map-path resolution, table-driven over every bundled analytic
+# ---------------------------------------------------------------------------
+
+# (class, chunk_size, constructor kwargs, path map_path="auto" resolves to)
+BUNDLED_APPS = [
+    (analytics.GaussianKernelSmoother, 1, dict(win_size=5), "scalar"),
+    (analytics.GridAggregation, 1, dict(grid_size=4), "batch"),
+    (analytics.Histogram, 1, dict(lo=-1.0, hi=1.0, num_buckets=4), "batch"),
+    (analytics.KMeans, 2, dict(dims=2), "batch"),
+    (analytics.LogisticRegression, 3, dict(dims=2), "batch"),
+    (analytics.MinMax, 1, dict(), "batch"),
+    (analytics.MovingAverage, 1, dict(win_size=5), "batch"),
+    (analytics.MovingAverage3D, 1, dict(shape=(2, 2, 2), win_size=3),
+     "scalar"),
+    (analytics.MovingMedian, 1, dict(win_size=5), "scalar"),
+    (analytics.MutualInformation, 2,
+     dict(x_range=(-1.0, 1.0), y_range=(-1.0, 1.0), bins=4), "batch"),
+    (analytics.SavitzkyGolay, 1, dict(win_size=5), "scalar"),
+    (analytics.TileAggregation3D, 1, dict(shape=(2, 2, 2), tile=(1, 1, 1)),
+     "batch"),
+    (analytics.ValueGridKDE, 1,
+     dict(grid=np.linspace(-1.0, 1.0, 5), bandwidth=0.5), "batch"),
+    (analytics.WindowScheduler, 1, dict(win_size=5), "scalar"),
+]
+
+
+def test_table_covers_every_bundled_analytic():
+    bundled = {obj for obj in vars(analytics).values()
+               if isinstance(obj, type) and issubclass(obj, Scheduler)}
+    assert {row[0] for row in BUNDLED_APPS} == bundled
+
+
+@pytest.mark.parametrize("cls,chunk,kwargs,expected", BUNDLED_APPS,
+                         ids=[row[0].__name__ for row in BUNDLED_APPS])
+def test_auto_resolves_to_batch_exactly_when_implemented(
+        cls, chunk, kwargs, expected):
+    implements = cls.batch_reduce is not Scheduler.batch_reduce
+    assert (expected == "batch") == implements
+    auto = cls(ExecutionPolicy(chunk_size=chunk), **kwargs)
+    scalar = cls(ExecutionPolicy(engine=EnginePolicy(map_path="scalar"),
+                                 chunk_size=chunk), **kwargs)
+    with auto, scalar:
+        assert auto._resolve_map_path() == expected
+        assert scalar._resolve_map_path() == "scalar"
+
+
+@pytest.mark.parametrize("token,axis", [
+    ("vec=1", "vec"), ("vec=0", "vec"),
+    ("map=vector", "map_path"), ("map=batch", "map_path"),
+])
+def test_parse_rejects_removed_map_options(token, axis):
+    with pytest.raises(ValueError, match=axis):
+        ExecutionPolicy.parse(f"engine=serial,{token}")
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_oracle_fingerprints_as_scalar(name):
+    oracle = Config(workload=name).oracle_of()
+    assert "map=scalar" in oracle.fingerprint()
+    assert "map=scalar" in oracle.policy_fingerprint()
+    assert not oracle.runs_batch
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +253,7 @@ class TestMapPathPolicy:
     ("serial", 1), ("thread", 3), ("process", 2),
 ])
 def test_batch_conforms_across_engines(name, engine, threads):
-    assert_conforms(name, engine=engine, num_threads=threads,
-                    map_path="batch")
+    assert_conforms(name, engine=engine, num_threads=threads)
 
 
 @pytest.mark.parametrize("name", BATCH_WORKLOADS)
@@ -186,23 +261,21 @@ def test_batch_conforms_across_engines(name, engine, threads):
 def test_batch_conforms_with_blocks(name, block_size):
     # Multiple blocks exercise cross-split accumulator seeding (and, for
     # moving_average, the early-emission sweep firing mid-run).
-    assert_conforms(name, block_size=block_size, map_path="batch")
+    assert_conforms(name, block_size=block_size)
 
 
 @pytest.mark.parametrize("name", ("histogram", "moving_average"))
 def test_batch_conforms_spmd(name):
-    assert_conforms(name, ranks=2, map_path="batch")
+    assert_conforms(name, ranks=2)
 
 
 def test_batch_zero_copy_wire_export():
     config = Config(workload="histogram", engine="process", num_threads=2,
-                    wire_format="columnar", block_size=256,
-                    map_path="batch")
+                    wire_format="columnar", block_size=256)
     info = execute(get_workload("histogram"), config)
     assert info.counters.get("run.batch_wire_exports", 0) > 0
     assert not mismatch_report("histogram", engine="process", num_threads=2,
-                               wire_format="columnar", block_size=256,
-                               map_path="batch")
+                               wire_format="columnar", block_size=256)
 
 
 def test_batch_with_early_emission_disabled():
@@ -218,8 +291,8 @@ def test_batch_with_early_emission_disabled():
             counters = app.telemetry_snapshot()["counters"]
         return out, counters
 
-    scalar_out, _ = run()
-    batch_out, counters = run(map_path="batch")
+    scalar_out, _ = run(map_path="scalar")
+    batch_out, counters = run()
     assert np.array_equal(scalar_out, batch_out)
     assert counters.get("run.early_emissions", 0) == 0
 
@@ -234,7 +307,7 @@ def _run_histogram_counters(**kw):
 
 
 def test_batch_reports_zero_accumulate_calls_explicitly():
-    counters = _run_histogram_counters(map_path="batch")
+    counters = _run_histogram_counters()
     # The gauge is *present* at zero — "no scalar work ran", not
     # "counter missing".
     assert counters["run.accumulate_calls"] == 0
@@ -242,13 +315,8 @@ def test_batch_reports_zero_accumulate_calls_explicitly():
     assert counters["run.batch_elements"] == 2048
 
 
-def test_vector_reports_zero_accumulate_calls_explicitly():
-    counters = _run_histogram_counters(vectorized=True)
-    assert counters["run.accumulate_calls"] == 0
-
-
 def test_scalar_counts_accumulate_calls():
-    counters = _run_histogram_counters()
+    counters = _run_histogram_counters(map_path="scalar")
     assert counters["run.accumulate_calls"] == 2048
 
 
@@ -268,6 +336,6 @@ def test_conformance_catches_corrupted_scatter(monkeypatch):
         acc.contrib += counts
 
     monkeypatch.setattr(Histogram, "batch_reduce", corrupted)
-    mismatches = mismatch_report("histogram", map_path="batch")
+    mismatches = mismatch_report("histogram")
     assert mismatches, "corrupted kernel slipped through conformance"
     assert any(m.kind == "value" for m in mismatches)

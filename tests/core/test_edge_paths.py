@@ -1,4 +1,4 @@
-"""Edge-path coverage: vector paths across block boundaries, failure
+"""Edge-path coverage: the batch path across block boundaries, failure
 propagation out of user callbacks, and degenerate inputs."""
 
 import numpy as np
@@ -17,12 +17,12 @@ from repro.core import SchedArgs, Scheduler
 class TestVectorPathAcrossBlocks:
     @pytest.mark.parametrize("block", [16, 50, 128, None])
     def test_moving_average_vectorized_with_blocks(self, rng, block):
-        """The vector fast path must be correct when the scheduler streams
+        """The batch fast path must be correct when the scheduler streams
         the partition block by block — window contributions routinely
         cross block boundaries."""
         data = rng.normal(size=300)
         app = MovingAverage(
-            SchedArgs(vectorized=True, block_size=block), win_size=9
+            SchedArgs(block_size=block), win_size=9
         )
         out = np.full(300, np.nan)
         app.run2(data, out)
@@ -31,10 +31,10 @@ class TestVectorPathAcrossBlocks:
     @pytest.mark.parametrize("block", [7, 100])
     def test_histogram_vectorized_with_blocks_and_threads(self, rng, block):
         data = rng.normal(size=500)
-        base = Histogram(SchedArgs(vectorized=True), lo=-4, hi=4, num_buckets=16)
+        base = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=16)
         base.run(data)
         blocked = Histogram(
-            SchedArgs(vectorized=True, block_size=block, num_threads=3),
+            SchedArgs(block_size=block, num_threads=3),
             lo=-4, hi=4, num_buckets=16,
         )
         blocked.run(data)

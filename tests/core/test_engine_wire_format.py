@@ -36,17 +36,17 @@ class TestColumnarEquivalenceMatrix:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_histogram(self, engine):
         assert_conforms("histogram", engine=engine, wire_format="columnar",
-                        vectorized=True, num_threads=3)
+                        num_threads=3)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_kmeans_seeded_iterative(self, engine):
         assert_conforms("kmeans", engine=engine, wire_format="columnar",
-                        vectorized=True, num_threads=2)
+                        num_threads=2)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_logistic_regression_iterative(self, engine):
         assert_conforms("logreg", engine=engine, wire_format="columnar",
-                        vectorized=True, num_threads=2)
+                        num_threads=2)
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("workload", ["moving_average", "moving_median"])
@@ -61,7 +61,7 @@ class TestProcessEngineWireAccounting:
     def test_columnar_maps_cross_worker_boundary(self, scalars):
         app = Histogram(
             SchedArgs(num_threads=2, engine="process",
-                      vectorized=True, wire_format="columnar"),
+                      wire_format="columnar"),
             lo=-4, hi=4, num_buckets=64,
         )
         app.run(scalars)
@@ -80,7 +80,7 @@ class TestProcessEngineWireAccounting:
         def run(engine, wire_format):
             app = Histogram(
                 SchedArgs(num_threads=2, engine=engine,
-                          vectorized=True, wire_format=wire_format),
+                          wire_format=wire_format),
                 lo=-4, hi=4, num_buckets=buckets,
             )
             app.run(data)
@@ -94,7 +94,7 @@ class TestProcessEngineWireAccounting:
         """The full optimized stack: process engine, columnar boundary
         payloads, and allreduce global combination on one rank."""
         app = Histogram(
-            SchedArgs(num_threads=2, engine="process", vectorized=True,
+            SchedArgs(num_threads=2, engine="process",
                       wire_format="columnar", combine_algorithm="allreduce"),
             lo=-4, hi=4, num_buckets=32,
         )

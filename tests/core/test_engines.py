@@ -3,7 +3,7 @@
 Every backend (serial / thread / process) must produce bit-identical
 combination maps, outputs, and consistent run statistics for every
 bundled analytics — including the early-emission (``run2`` window) and
-``seed_reduction_maps`` (iterative) paths, scalar and vectorized alike.
+``seed_reduction_maps`` (iterative) paths, scalar and batch alike.
 
 The equivalence matrix is a thin wrapper over the ``repro.verify``
 conformance kit (shared via ``tests/workloads.py``): each test names a
@@ -28,21 +28,22 @@ class TestEquivalenceMatrix:
     """Serial is ground truth; thread and process must match it exactly."""
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vector"])
-    def test_histogram(self, engine, vectorized):
-        assert_conforms("histogram", engine=engine, vectorized=vectorized,
+    # The "vector" id names the whole-split numpy path that map_path="auto"
+    # resolves to (batch_reduce); "scalar" pins the per-chunk loop.
+    @pytest.mark.parametrize("map_path", ["scalar", "auto"], ids=["scalar", "vector"])
+    def test_histogram(self, engine, map_path):
+        assert_conforms("histogram", engine=engine, map_path=map_path,
                         num_threads=3)
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vector"])
-    def test_kmeans_seeded_iterative(self, engine, vectorized):
-        assert_conforms("kmeans", engine=engine, vectorized=vectorized,
+    @pytest.mark.parametrize("map_path", ["scalar", "auto"], ids=["scalar", "vector"])
+    def test_kmeans_seeded_iterative(self, engine, map_path):
+        assert_conforms("kmeans", engine=engine, map_path=map_path,
                         num_threads=2)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_logistic_regression_iterative(self, engine):
-        assert_conforms("logreg", engine=engine, vectorized=True,
-                        num_threads=2)
+        assert_conforms("logreg", engine=engine, num_threads=2)
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("workload", ["moving_average", "moving_median"])

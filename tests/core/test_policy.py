@@ -98,14 +98,13 @@ class TestFingerprint:
     def test_non_default_round_trip(self):
         p = ExecutionPolicy(
             engine=EnginePolicy(backend="process", num_threads=4,
-                                residency="off"),
+                                residency="off", map_path="scalar"),
             combine=CombinePolicy(algorithm="allreduce",
                                   wire_format="columnar"),
             fault=FaultPolicy.retry(max_attempts=5, backoff=0.25),
             chunk_size=3,
             num_iters=7,
             block_size=128,
-            vectorized=True,
             buffer_capacity=2,
             copy_input=True,
             disable_early_emission=True,
@@ -147,17 +146,17 @@ class TestFacade:
     def test_every_knob_lowers(self):
         args = SchedArgs(
             num_threads=4, chunk_size=3, num_iters=2, block_size=99,
-            engine="process", vectorized=True, combine_algorithm="tree",
+            engine="process", map_path="scalar", combine_algorithm="tree",
             wire_format="columnar", residency="off",
             fault_policy=FaultPolicy.retry(), buffer_capacity=8,
             copy_input=True, disable_early_emission=True,
         )
         p = args.policy
-        assert p.engine == EnginePolicy("process", 4, "off")
+        assert p.engine == EnginePolicy("process", 4, "off", "scalar")
         assert p.combine == CombinePolicy("tree", "columnar")
         assert p.resolved_fault_policy.mode == "retry"
         assert (p.chunk_size, p.num_iters, p.block_size) == (3, 2, 99)
-        assert p.vectorized and p.copy_input and p.disable_early_emission
+        assert p.copy_input and p.disable_early_emission
         assert p.buffer_capacity == 8
 
     def test_use_threads_lowers_to_thread_backend(self):

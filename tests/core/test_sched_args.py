@@ -18,7 +18,7 @@ class TestDefaults:
         assert args.block_size is None
         assert args.engine is None
         assert args.use_threads is False
-        assert args.vectorized is False
+        assert args.map_path == "auto"
         assert args.copy_input is False
         assert args.disable_early_emission is False
         assert args.buffer_capacity == 4

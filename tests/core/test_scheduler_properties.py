@@ -1,5 +1,5 @@
 """Scheduler-level properties: results are invariant to every execution
-knob (threads, blocks, vectorization, rank count, combine algorithm).
+knob (threads, blocks, map path, rank count, combine algorithm).
 
 The paper's core correctness claim is that parallelization details are
 transparent to the application; these tests state it as a property and
@@ -15,10 +15,10 @@ from repro.comm import spmd_launch
 from repro.core import SchedArgs
 
 
-def run_config(data, *, ranks=1, threads=1, block=None, vectorized=False,
+def run_config(data, *, ranks=1, threads=1, block=None, map_path="scalar",
                use_threads=False, algo="gather"):
     args = dict(
-        num_threads=threads, block_size=block, vectorized=vectorized,
+        num_threads=threads, block_size=block, map_path=map_path,
         use_threads=use_threads, combine_algorithm=algo,
     )
 
@@ -38,17 +38,17 @@ def run_config(data, *, ranks=1, threads=1, block=None, vectorized=False,
     ranks=st.integers(min_value=1, max_value=3),
     threads=st.integers(min_value=1, max_value=5),
     block=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
-    vectorized=st.booleans(),
+    map_path=st.sampled_from(["scalar", "auto"]),
     algo=st.sampled_from(["gather", "tree"]),
 )
 def test_every_execution_knob_is_result_invariant(
-    seed, n, ranks, threads, block, vectorized, algo
+    seed, n, ranks, threads, block, map_path, algo
 ):
     data = np.random.default_rng(seed).normal(size=n)
     expected = reference_histogram(data, -4, 4, 16) if n else np.zeros(16, np.int64)
     counts = run_config(
         data, ranks=ranks, threads=threads, block=block,
-        vectorized=vectorized, algo=algo,
+        map_path=map_path, algo=algo,
     )
     assert np.array_equal(counts, expected)
 
@@ -59,11 +59,11 @@ def test_every_execution_knob_is_result_invariant(
     use_threads=st.booleans(),
 )
 def test_real_thread_pool_with_vectorized_path(seed, use_threads):
-    """The thread pool and the vectorized fast path compose."""
+    """The thread pool and the batch fast path compose."""
     data = np.random.default_rng(seed).normal(size=500)
     expected = reference_histogram(data, -4, 4, 16)
     counts = run_config(
-        data, threads=4, vectorized=True, use_threads=use_threads
+        data, threads=4, map_path="auto", use_threads=use_threads
     )
     assert np.array_equal(counts, expected)
 

@@ -31,13 +31,13 @@ class TestConfigFingerprint:
         cfg = Config(workload="kmeans", engine="process",
                      wire_format="columnar", combine_algorithm="allreduce",
                      residency="off", fault="comm-delay", num_threads=3,
-                     block_size=256, vectorized=True, ranks=2, seed=7)
+                     block_size=256, map_path="scalar", ranks=2, seed=7)
         assert Config.parse(cfg.fingerprint()) == cfg
 
     def test_parse_accepts_sparse_tokens(self):
-        cfg = Config.parse("workload=histogram,engine=thread,vec=1")
+        cfg = Config.parse("workload=histogram,engine=thread,map=scalar")
         assert cfg.engine == "thread"
-        assert cfg.vectorized is True
+        assert cfg.map_path == "scalar"
         assert cfg.wire_format == "pickle"  # default preserved
 
     def test_parse_requires_workload(self):
@@ -50,18 +50,21 @@ class TestConfigFingerprint:
 
     def test_oracle_of_resets_only_transparent_axes(self):
         cfg = Config(workload="histogram", engine="process",
-                     wire_format="columnar", num_threads=3, vectorized=True,
-                     ranks=2, seed=3)
+                     wire_format="columnar", num_threads=3, ranks=2, seed=3)
         oracle = cfg.oracle_of()
         assert oracle.is_oracle
         assert oracle.engine == "serial" and oracle.wire_format == "pickle"
+        assert oracle.map_path == "scalar"
+        assert cfg.runs_batch and not oracle.runs_batch
         assert oracle.structure_key() == cfg.structure_key()
 
 
 class TestMatrixGeneration:
     def test_validity_rules(self):
-        # moving_median has no vector path.
-        assert not is_valid(Config(workload="moving_median", vectorized=True))
+        # Both map paths are valid everywhere: auto falls back to the
+        # scalar loop where an analytic has no batch_reduce.
+        assert is_valid(Config(workload="moving_median"))
+        assert is_valid(Config(workload="moving_median", map_path="scalar"))
         # engine-kill needs the process engine with >= 2 workers on 1 rank.
         assert not is_valid(Config(workload="histogram", fault="engine-kill"))
         assert is_valid(Config(workload="histogram", fault="engine-kill",
@@ -97,6 +100,8 @@ class TestMatrixGeneration:
     def test_axis_values_widen_off_smoke(self):
         assert axis_values(smoke=False)["ranks"] == (1, 2, 3)
         assert axis_values(smoke=True)["ranks"] == (1, 2)
+        assert axis_values(smoke=False)["map_path"] == ("auto", "scalar")
+        assert axis_values(smoke=True)["map_path"] == ("auto",)
 
 
 class TestMatrixRun:

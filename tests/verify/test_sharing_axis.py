@@ -65,7 +65,8 @@ class TestSharedExecution:
         assert mismatches == [], [m.describe() for m in mismatches]
 
     def test_shared_runinfo_matches_solo_execute(self):
-        shared_cfg = Config(workload="minmax", sharing="shared")
+        shared_cfg = Config(workload="minmax", sharing="shared",
+                            map_path="scalar")
         solo = execute("minmax", shared_cfg.oracle_of())
         shared = execute("minmax", shared_cfg)
         assert set(shared.result) == set(solo.result)
